@@ -1072,11 +1072,27 @@ mod tests {
     fn poisoned_cursor_stops_claiming_after_a_panic() {
         let items: Vec<usize> = (0..500).collect();
         let executed = AtomicUsize::new(0);
+        // Set while job 3 unwinds, just before the executor's guard (an
+        // outer frame) poisons the cursor. The other jobs wait for it, so
+        // the outcome does not depend on how long the panic hook runs
+        // first: capturing a backtrace can outlast the whole batch.
+        let unwinding = AtomicBool::new(false);
+        struct MarkOnDrop<'a>(&'a AtomicBool);
+        impl Drop for MarkOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Release);
+            }
+        }
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
             Threaded::new(4).map(&items, |_, &x| {
-                assert!(x != 3, "boom at 3");
+                if x == 3 {
+                    let _mark = MarkOnDrop(&unwinding);
+                    panic!("boom at 3");
+                }
+                while !unwinding.load(Ordering::Acquire) {
+                    std::thread::sleep(std::time::Duration::from_micros(50));
+                }
                 executed.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(std::time::Duration::from_micros(200));
                 x
             })
         }));

@@ -8,28 +8,43 @@
 //! finished. ILP is then `N / schedule_length`. PISA reports ILP for several
 //! window sizes; [`IlpAnalyzer::WINDOWS`] mirrors that.
 //!
-//! All window sizes are tracked in one pass with a single dependence map
-//! whose values are per-window depth vectors — this code runs for every
-//! dynamic instruction, so map operations are minimized and Fx-hashed.
+//! All window sizes are tracked in one pass, and every table is flat: the
+//! latest definition of each register sits in a table indexed by register
+//! id, the latest store to each element in a table indexed by the
+//! profiler's dense element id, and the finite windows are fixed
+//! power-of-two rings. [`crate::reference::IlpAnalyzer`] is the same
+//! machine over hash maps.
 
 use napel_ir::fxhash::FxHashMap;
-use napel_ir::Inst;
+use napel_ir::{Inst, Opcode, NO_REG};
 
 /// Number of analyzed windows.
 const NUM_WINDOWS: usize = 5;
 
+/// Completion depth of one value under each window.
+type Depths = [u64; NUM_WINDOWS];
+
+/// Lengths of the finite windows' rings, which share one array.
+const RING_LENS: [usize; NUM_WINDOWS - 1] = [32, 64, 128, 256];
+/// Offset of each ring in that array.
+const RING_BASE: [usize; NUM_WINDOWS - 1] = [0, 32, 96, 224];
+const RING_SLOTS: usize = RING_BASE[3] + RING_LENS[3];
+
+/// Register ids up to `2 × instructions + REG_SLACK` go in the flat table:
+/// an emitter numbers registers densely from 0, so the table stays
+/// proportional to the stream however large a hand-built id is.
+const REG_SLACK: u64 = 4096;
+
 /// Streaming ILP analyzer over a dynamic instruction stream.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct IlpAnalyzer {
-    /// Completion depth of the latest write to each register, per window.
-    reg_depth: FxHashMap<u32, [u64; NUM_WINDOWS]>,
-    /// Completion depth of the latest store to each 8-byte element.
-    mem_depth: FxHashMap<u64, [u64; NUM_WINDOWS]>,
-    /// Ring buffers of the completion times of the last `w` instructions,
-    /// one per finite window.
-    rings: Vec<Vec<u64>>,
-    ring_pos: [usize; NUM_WINDOWS],
-    critical_path: [u64; NUM_WINDOWS],
+    /// Completion depths of the latest write to each register.
+    regs: RegDepths,
+    /// Completion depths of the latest store to each element, by element id.
+    mem: Vec<Depths>,
+    /// Completion times of the last `w` instructions, per finite window.
+    rings: Box<[u64; RING_SLOTS]>,
+    critical_path: Depths,
     total: u64,
 }
 
@@ -42,62 +57,61 @@ impl IlpAnalyzer {
     /// Creates a fresh analyzer.
     pub fn new() -> Self {
         IlpAnalyzer {
-            reg_depth: FxHashMap::default(),
-            mem_depth: FxHashMap::default(),
-            rings: Self::WINDOWS
-                .iter()
-                .map(|w| vec![0u64; w.unwrap_or(0)])
-                .collect(),
-            ring_pos: [0; NUM_WINDOWS],
+            regs: RegDepths::default(),
+            mem: Vec::new(),
+            rings: Box::new([0; RING_SLOTS]),
             critical_path: [0; NUM_WINDOWS],
             total: 0,
         }
     }
 
-    /// Observes one instruction.
+    /// Observes one instruction. `elem` is the dense id of the 8-byte
+    /// element a load or store with an address touches (`None` otherwise);
+    /// stores define it and loads depend on it.
     #[inline]
-    pub fn observe(&mut self, inst: &Inst) {
-        self.total += 1;
+    pub fn observe(&mut self, inst: &Inst, elem: Option<u32>) {
         let mut ready = [0u64; NUM_WINDOWS];
-        for r in inst.src_regs() {
-            if let Some(d) = self.reg_depth.get(&r.0) {
-                for w in 0..NUM_WINDOWS {
-                    ready[w] = ready[w].max(d[w]);
+        let mut depend = |d: &Depths| {
+            for w in 0..NUM_WINDOWS {
+                ready[w] = ready[w].max(d[w]);
+            }
+        };
+        for &r in &inst.srcs {
+            if r != NO_REG {
+                if let Some(d) = self.regs.get(r) {
+                    depend(d);
                 }
             }
         }
-        if inst.op == napel_ir::Opcode::Load {
-            if let Some(addr) = inst.mem_addr() {
-                if let Some(d) = self.mem_depth.get(&(addr >> 3)) {
-                    for w in 0..NUM_WINDOWS {
-                        ready[w] = ready[w].max(d[w]); // RAW through memory
-                    }
-                }
+        if inst.op == Opcode::Load {
+            if let Some(d) = elem.and_then(|e| self.mem.get(e as usize)) {
+                depend(d); // RAW through memory
             }
         }
         // Finite windows: cannot start before the instruction `w` back has
         // completed.
         let mut done = [0u64; NUM_WINDOWS];
-        for w in 0..NUM_WINDOWS {
-            let floor = if self.rings[w].is_empty() {
-                0
-            } else {
-                self.rings[w][self.ring_pos[w]]
-            };
-            done[w] = ready[w].max(floor) + 1;
-            if !self.rings[w].is_empty() {
-                let pos = self.ring_pos[w];
-                self.rings[w][pos] = done[w];
-                self.ring_pos[w] = (pos + 1) % self.rings[w].len();
-            }
-            self.critical_path[w] = self.critical_path[w].max(done[w]);
+        let slot = self.total as usize;
+        for w in 0..NUM_WINDOWS - 1 {
+            let i = RING_BASE[w] + (slot & (RING_LENS[w] - 1));
+            done[w] = ready[w].max(self.rings[i]) + 1;
+            self.rings[i] = done[w];
         }
-        if let Some(dst) = inst.dst_reg() {
-            self.reg_depth.insert(dst.0, done);
+        done[NUM_WINDOWS - 1] = ready[NUM_WINDOWS - 1] + 1;
+        for (cp, d) in self.critical_path.iter_mut().zip(done) {
+            *cp = (*cp).max(d);
         }
-        if inst.op == napel_ir::Opcode::Store {
-            if let Some(addr) = inst.mem_addr() {
-                self.mem_depth.insert(addr >> 3, done);
+        self.total += 1;
+        if inst.dst != NO_REG {
+            self.regs.set(inst.dst, done, 2 * self.total + REG_SLACK);
+        }
+        if inst.op == Opcode::Store {
+            if let Some(e) = elem {
+                let e = e as usize;
+                if e >= self.mem.len() {
+                    self.mem.resize(e + 1, [0; NUM_WINDOWS]);
+                }
+                self.mem[e] = done;
             }
         }
     }
@@ -123,85 +137,85 @@ impl IlpAnalyzer {
     }
 }
 
+impl Default for IlpAnalyzer {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Latest-definition depths by register id. Invariant: ids below
+/// `dense.len()` live in `dense` (all-zero = never defined, which no
+/// definition produces), ids at or above it in `sparse`.
+#[derive(Debug, Clone, Default)]
+struct RegDepths {
+    dense: Vec<Depths>,
+    sparse: FxHashMap<u32, Depths>,
+}
+
+impl RegDepths {
+    #[inline]
+    fn get(&self, r: u32) -> Option<&Depths> {
+        match self.dense.get(r as usize) {
+            Some(d) => Some(d),
+            None if self.sparse.is_empty() => None,
+            None => self.sparse.get(&r),
+        }
+    }
+
+    /// Records `r`'s depths, growing the flat table to cover `r` if `r`
+    /// is below `limit`.
+    #[inline]
+    fn set(&mut self, r: u32, d: Depths, limit: u64) {
+        let i = r as usize;
+        if i >= self.dense.len() {
+            if u64::from(r) >= limit {
+                self.sparse.insert(r, d);
+                return;
+            }
+            self.grow(i + 1);
+        }
+        self.dense[i] = d;
+    }
+
+    #[cold]
+    fn grow(&mut self, need: usize) {
+        let len = need.max(2 * self.dense.len());
+        self.dense.resize(len, [0; NUM_WINDOWS]);
+        let dense = &mut self.dense;
+        self.sparse.retain(|&r, d| match dense.get_mut(r as usize) {
+            Some(slot) => {
+                *slot = *d;
+                false
+            }
+            None => true,
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use napel_ir::{Emitter, Trace};
 
-    fn analyze(build: impl FnOnce(&mut Emitter<&mut Trace>)) -> IlpAnalyzer {
-        let mut t = Trace::new();
-        let mut e = Emitter::new(&mut t);
-        build(&mut e);
-        drop(e);
+    #[test]
+    fn huge_register_ids_stay_out_of_the_flat_table() {
         let mut a = IlpAnalyzer::new();
-        for i in t.iter() {
-            a.observe(i);
+        let mut prev = NO_REG;
+        for r in [u32::MAX - 1, 5, 1 << 30, 6] {
+            a.observe(&Inst::compute(0, Opcode::IntAlu, r, [prev, NO_REG]), None);
+            prev = r;
         }
-        a
+        assert!(a.regs.dense.len() < 1 << 16, "{}", a.regs.dense.len());
+        assert_eq!(a.ilp()[4], 1.0, "a serial chain through sparse ids");
     }
 
     #[test]
-    fn independent_chain_has_high_ilp() {
-        // 1000 independent loads: every window executes them fully parallel
-        // (bounded by window size).
-        let a = analyze(|e| {
-            for i in 0..1000u64 {
-                e.load(0, 8 * i, 8);
-            }
-        });
-        let ilp = a.ilp();
-        // Unbounded window: all in one cycle.
-        assert!((ilp[4] - 1000.0).abs() < 1e-9, "{ilp:?}");
-        // Window of 32: ~32 per cycle.
-        assert!(ilp[0] > 25.0 && ilp[0] <= 32.0, "{ilp:?}");
-        // Larger windows expose more parallelism.
-        assert!(ilp[0] <= ilp[1] && ilp[1] <= ilp[2] && ilp[2] <= ilp[3] && ilp[3] <= ilp[4]);
-    }
-
-    #[test]
-    fn dependent_chain_has_ilp_one() {
-        let a = analyze(|e| {
-            let mut acc = e.imm(0);
-            for _ in 0..99 {
-                acc = e.fadd(1, acc, acc);
-            }
-        });
-        let ilp = a.ilp();
-        for v in ilp {
-            assert!(
-                (v - 1.0).abs() < 1e-9,
-                "serial chain must have ILP 1, got {v}"
-            );
-        }
-    }
-
-    #[test]
-    fn memory_raw_dependence_serializes() {
-        // store to X then load from X then store then load...: RAW chain.
-        let a = analyze(|e| {
-            let mut v = e.imm(0);
-            for _ in 0..50 {
-                e.store(1, 0x100, 8, v);
-                v = e.load(2, 0x100, 8);
-            }
-        });
-        let ilp = a.ilp();
-        assert!(
-            ilp[4] < 1.5,
-            "memory RAW chain should serialize, got {}",
-            ilp[4]
-        );
-    }
-
-    #[test]
-    fn disjoint_addresses_do_not_serialize() {
-        let a = analyze(|e| {
-            for i in 0..50u64 {
-                let v = e.imm(0);
-                e.store(1, 0x100 + 64 * i, 8, v);
-            }
-        });
-        assert!(a.ilp()[4] > 40.0);
+    fn growth_moves_sparse_ids_into_the_flat_table() {
+        let mut rd = RegDepths::default();
+        rd.set(9000, [7; NUM_WINDOWS], 0);
+        assert!(rd.sparse.contains_key(&9000));
+        rd.set(9500, [1; NUM_WINDOWS], 10_000);
+        assert!(rd.sparse.is_empty());
+        assert_eq!(rd.get(9000), Some(&[7; NUM_WINDOWS]));
     }
 
     #[test]

@@ -15,12 +15,16 @@
 //! - **data/instruction reuse distance** ([`reuse`]) — the probability of
 //!   reusing an element before touching δ other unique elements, for δ at
 //!   every power of two (LRU stack distance, computed with a Fenwick tree),
-//! - **memory traffic** ([`traffic`]) — the fraction of reads/writes that
-//!   escape an ideal fully-associative cache of a given capacity,
-//! - **register traffic and memory footprint** ([`footprint`]),
+//! - **memory traffic** — the fraction of reads/writes that escape an ideal
+//!   fully-associative cache of a given capacity
+//!   ([`ReuseHistogram::miss_fraction`](reuse::ReuseHistogram::miss_fraction)),
+//! - **register traffic and memory footprint** — register operands per
+//!   instruction ([`mix`]), distinct bytes and `pc`s touched,
 //!
 //! all flattened into one [`ApplicationProfile`] feature vector with stable
-//! names ([`feature_names`]).
+//! names ([`feature_names`]). [`ProfileObserver`] computes every analysis in
+//! one pass over interned keys; the [`reference`](mod@reference) module
+//! keeps the analyzers as first written, as the oracle it is tested against.
 //!
 //! # Example
 //!
@@ -41,11 +45,11 @@
 //! assert!(p.value("mix.class.mem_read") > 0.3);
 //! ```
 
-pub mod footprint;
 pub mod ilp;
+mod keys;
 pub mod mix;
 mod profile;
+pub mod reference;
 pub mod reuse;
-pub mod traffic;
 
 pub use profile::{feature_names, ApplicationProfile, ProfileObserver, NUM_REUSE_BUCKETS};

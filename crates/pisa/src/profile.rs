@@ -2,13 +2,12 @@
 
 use std::sync::OnceLock;
 
-use napel_ir::{Inst, MultiTrace, OpClass, Opcode, ThreadedTraceSink};
+use napel_ir::{Inst, MultiTrace, OpClass, Opcode, ThreadedTraceSink, NO_ADDR};
 
-use crate::footprint::FootprintAnalyzer;
 use crate::ilp::IlpAnalyzer;
+use crate::keys::{AddrIds, PcIds};
 use crate::mix::MixCounter;
-use crate::reuse::{ReuseAnalyzer, ReuseHistogram, NUM_BUCKETS};
-use crate::traffic::{Granularity, TrafficAnalyzer};
+use crate::reuse::{LruStack, ReuseHistogram, NUM_BUCKETS};
 
 /// Number of power-of-two reuse-distance buckets in the profile
 /// (re-exported from [`crate::reuse`]).
@@ -27,13 +26,17 @@ pub struct ApplicationProfile {
 impl ApplicationProfile {
     /// Profiles a kernel execution.
     ///
-    /// The per-thread traces are analyzed back-to-back (thread 0's full
-    /// stream, then thread 1's, ...): reuse distances, spatial locality and
-    /// ILP are *per-thread* properties — each software thread runs on its
-    /// own core whose cache and prefetcher see only that thread's access
-    /// stream — while mix, footprint, and volume aggregate over the union.
-    /// A round-robin interleaving would instead measure cross-thread
-    /// artifacts (e.g. false spatial locality on shared read-only data).
+    /// The per-thread traces are concatenated thread-major (thread 0's full
+    /// stream, then thread 1's, ...) and profiled as one stream. Each
+    /// thread's accesses stay contiguous and in program order, so reuse,
+    /// spatial locality and ILP see what a core running that thread would
+    /// see, not the cross-thread artifacts of a round-robin interleaving
+    /// (e.g. false spatial locality on shared read-only data). No analyzer
+    /// resets at a thread boundary, though: LRU stacks, the ILP register and
+    /// memory tables and the ILP windows carry over, so thread *k*'s first
+    /// touch of data an earlier thread touched is a warm reuse, not a cold
+    /// miss, and a load may depend on an earlier thread's store. Mix,
+    /// footprint and volume aggregate over the union.
     pub fn of(trace: &MultiTrace) -> Self {
         let telemetry = napel_telemetry::global();
         let _span = telemetry
@@ -42,7 +45,7 @@ impl ApplicationProfile {
             .attr("insts", trace.total_insts());
         telemetry.counter("pisa.instructions", trace.total_insts() as u64);
 
-        let mut observer = ProfileObserver::with_capacity(trace.total_insts());
+        let mut observer = ProfileObserver::new();
         ThreadedTraceSink::begin(&mut observer, trace.num_threads());
         {
             let _observe = telemetry.span("pisa.observe");
@@ -102,10 +105,18 @@ impl ApplicationProfile {
 /// [`generate_into`](https://docs.rs/napel-workloads) — typically tee'd
 /// with a compact trace encoder. Instructions must arrive **thread-major**
 /// (thread 0's full stream, then thread 1's, ...), which is both the order
-/// every kernel emits in and the per-thread order
-/// [`ApplicationProfile::of`] analyzes in; the resulting profile is
-/// bit-identical to profiling the collected trace (enforced by test and by
-/// `of` itself being implemented on top of this observer).
+/// every kernel emits in and the order [`ApplicationProfile::of`] replays;
+/// the resulting profile is bit-identical to profiling the collected trace
+/// (enforced by test and by `of` itself being implemented on top of this
+/// observer).
+///
+/// All analyzers run in one pass over shared state: each access interns its
+/// element, line and `pc` once, the eight reuse streams are [`LruStack`]s
+/// over those ids, ILP keeps flat tables ([`IlpAnalyzer`]), and the
+/// footprint is the streams' cold counts (a stream's first touches are
+/// exactly its distinct keys). The
+/// [`reference`](crate::reference) analyzers compute the same profile the
+/// slow way and are the differential oracle.
 ///
 /// ```
 /// use napel_ir::{Emitter, MultiTrace, ThreadedTraceSink};
@@ -124,18 +135,25 @@ impl ApplicationProfile {
 /// }
 /// assert_eq!(observer.finish(), ApplicationProfile::of(&trace));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ProfileObserver {
     mix: MixCounter,
     ilp: IlpAnalyzer,
-    elem: TrafficAnalyzer,
-    line: TrafficAnalyzer,
-    inst_reuse: ReuseAnalyzer,
-    footprint: FootprintAnalyzer,
+    addrs: AddrIds,
+    pcs: PcIds,
+    /// Element-granularity read, write and combined streams.
+    elem: [Stream; 3],
+    /// The same at 64-byte-line granularity.
+    line: [Stream; 3],
+    inst: Stream,
     num_threads: usize,
     insts: u64,
     last_thread: usize,
 }
+
+/// Index of the combined read+write stream in `elem`/`line` (reads are
+/// 0, writes 1).
+const ALL: usize = 2;
 
 impl ProfileObserver {
     /// Creates an empty observer. Call
@@ -143,23 +161,7 @@ impl ProfileObserver {
     /// streaming kernel) before recording; the thread count is itself a
     /// profile feature.
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Creates an observer pre-sized for `n` instructions (sizes the
-    /// instruction-reuse tracker; affects speed only, never results).
-    pub fn with_capacity(n: usize) -> Self {
-        ProfileObserver {
-            mix: MixCounter::new(),
-            ilp: IlpAnalyzer::new(),
-            elem: TrafficAnalyzer::new(Granularity::Element),
-            line: TrafficAnalyzer::new(Granularity::Line64),
-            inst_reuse: ReuseAnalyzer::with_capacity(n),
-            footprint: FootprintAnalyzer::new(),
-            num_threads: 0,
-            insts: 0,
-            last_thread: 0,
-        }
+        Self::default()
     }
 
     /// Feeds one instruction to every analyzer.
@@ -167,11 +169,20 @@ impl ProfileObserver {
     pub fn observe(&mut self, inst: &Inst) {
         self.insts += 1;
         self.mix.observe(inst);
-        self.ilp.observe(inst);
-        self.elem.observe(inst);
-        self.line.observe(inst);
-        self.inst_reuse.access(u64::from(inst.pc));
-        self.footprint.observe(inst);
+        self.inst.access(self.pcs.id(inst.pc));
+        let elem = match inst.op {
+            Opcode::Load | Opcode::Store if inst.addr != NO_ADDR => {
+                let (elem, line) = self.addrs.ids(inst.addr);
+                let kind = usize::from(inst.op == Opcode::Store);
+                self.elem[kind].access(elem);
+                self.elem[ALL].access(elem);
+                self.line[kind].access(line);
+                self.line[ALL].access(line);
+                Some(elem)
+            }
+            _ => None,
+        };
+        self.ilp.observe(inst, elem);
     }
 
     /// Instructions observed so far.
@@ -197,16 +208,84 @@ impl ProfileObserver {
     /// Assembles the feature vector from the analyzer states (no
     /// telemetry — callers wrap this in their own spans).
     fn assemble(self) -> ApplicationProfile {
-        let ProfileObserver {
+        let [read, written, touched] = self.elem.each_ref().map(|s| s.histogram.cold() * 8);
+        Parts {
+            mix: &self.mix,
+            ilp: self.ilp.ilp(),
+            elem: self.elem.each_ref().map(|s| &s.histogram),
+            line: self.line.each_ref().map(|s| &s.histogram),
+            inst: &self.inst.histogram,
+            footprint_bytes: [touched, read, written],
+            static_insts: self.inst.histogram.cold(),
+            threads: self.num_threads,
+        }
+        .assemble()
+    }
+}
+
+/// One reuse stream: an LRU stack over interned ids and its histogram.
+#[derive(Debug, Clone, Default)]
+struct Stream {
+    stack: LruStack,
+    histogram: ReuseHistogram,
+}
+
+impl Stream {
+    #[inline]
+    fn access(&mut self, id: u32) {
+        let distance = self.stack.access(id);
+        self.histogram.record(distance);
+    }
+}
+
+impl ThreadedTraceSink for ProfileObserver {
+    fn begin(&mut self, num_threads: usize) {
+        self.num_threads = num_threads;
+    }
+
+    #[inline]
+    fn record(&mut self, thread: usize, inst: Inst) {
+        // Thread-major order is what makes a streamed profile equal the
+        // replay in `ApplicationProfile::of`.
+        debug_assert!(
+            thread >= self.last_thread,
+            "ProfileObserver requires thread-major streams (thread {thread} after {})",
+            self.last_thread
+        );
+        self.last_thread = thread;
+        self.observe(&inst);
+    }
+}
+
+/// What the feature vector is assembled from. The fused observer and the
+/// [`reference`](crate::reference) analyzers both reduce to this, so they
+/// differ only in how they compute it.
+pub(crate) struct Parts<'a> {
+    pub(crate) mix: &'a MixCounter,
+    /// ILP per window, in [`IlpAnalyzer::WINDOWS`] order.
+    pub(crate) ilp: Vec<f64>,
+    /// Element-granularity read, write and combined reuse histograms.
+    pub(crate) elem: [&'a ReuseHistogram; 3],
+    /// The same at 64-byte-line granularity.
+    pub(crate) line: [&'a ReuseHistogram; 3],
+    /// Instruction (`pc`) reuse histogram.
+    pub(crate) inst: &'a ReuseHistogram,
+    /// Bytes touched, read and written at least once (8-byte elements).
+    pub(crate) footprint_bytes: [u64; 3],
+    /// Distinct `pc`s.
+    pub(crate) static_insts: u64,
+    pub(crate) threads: usize,
+}
+
+impl Parts<'_> {
+    pub(crate) fn assemble(&self) -> ApplicationProfile {
+        let Parts {
             mix,
-            ilp,
             elem,
             line,
-            inst_reuse,
-            footprint,
-            num_threads,
+            inst,
             ..
-        } = self;
+        } = *self;
         let mut values = Vec::with_capacity(feature_names().len());
 
         // 1-2. Instruction mix.
@@ -224,75 +303,47 @@ impl ProfileObserver {
         values.push(mix.load_store_ratio());
         values.push(mix.cond_branch_fraction());
         // 5. ILP per window.
-        values.extend(ilp.ilp());
+        values.extend(&self.ilp);
         // 6. Reuse CDFs and traffic curves per granularity.
-        for t in [&elem, &line] {
-            push_cdf(&mut values, t.read_histogram());
-            push_cdf(&mut values, t.write_histogram());
-            push_cdf(&mut values, t.combined_histogram());
-            for b in 0..NUM_BUCKETS {
-                values.push(t.read_traffic(b));
-            }
-            for b in 0..NUM_BUCKETS {
-                values.push(t.write_traffic(b));
+        for [read, write, all] in [elem, line] {
+            push_cdf(&mut values, read);
+            push_cdf(&mut values, write);
+            push_cdf(&mut values, all);
+            for h in [read, write] {
+                for b in 0..NUM_BUCKETS {
+                    values.push(h.miss_fraction(b));
+                }
             }
         }
         // 7. Element-granularity combined PDF.
         for b in 0..NUM_BUCKETS {
-            values.push(elem.combined_histogram().pdf(b));
+            values.push(elem[ALL].pdf(b));
         }
         // 8. Instruction reuse CDF and PDF.
-        push_cdf(&mut values, inst_reuse.histogram());
+        push_cdf(&mut values, inst);
         for b in 0..NUM_BUCKETS {
-            values.push(inst_reuse.histogram().pdf(b));
+            values.push(inst.pdf(b));
         }
         // 9. Cold fractions.
-        values.push(elem.read_histogram().cold_fraction());
-        values.push(elem.write_histogram().cold_fraction());
-        values.push(elem.combined_histogram().cold_fraction());
-        values.push(line.combined_histogram().cold_fraction());
-        values.push(inst_reuse.histogram().cold_fraction());
+        for h in [elem[0], elem[1], elem[ALL], line[ALL], inst] {
+            values.push(h.cold_fraction());
+        }
         // 10. Reuse summary statistics.
-        for h in [elem.combined_histogram(), inst_reuse.histogram()] {
+        for h in [elem[ALL], inst] {
             values.push(h.mean_log2());
             values.push(h.quantile_bucket(0.5) as f64);
             values.push(h.quantile_bucket(0.9) as f64);
         }
         // 11. Footprint.
-        values.push(log2p1(footprint.total_bytes() as f64));
-        values.push(log2p1(footprint.read_bytes() as f64));
-        values.push(log2p1(footprint.written_bytes() as f64));
-        values.push(log2p1(footprint.static_insts() as f64));
+        for bytes in self.footprint_bytes {
+            values.push(log2p1(bytes as f64));
+        }
+        values.push(log2p1(self.static_insts as f64));
         // 12. Threads.
-        values.push(num_threads as f64);
+        values.push(self.threads as f64);
 
         debug_assert_eq!(values.len(), feature_names().len());
         ApplicationProfile { values }
-    }
-}
-
-impl Default for ProfileObserver {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ThreadedTraceSink for ProfileObserver {
-    fn begin(&mut self, num_threads: usize) {
-        self.num_threads = num_threads;
-    }
-
-    #[inline]
-    fn record(&mut self, thread: usize, inst: Inst) {
-        // Per-thread analyses (reuse, ILP, spatial locality) rely on the
-        // thread-major stream order documented on the type.
-        debug_assert!(
-            thread >= self.last_thread,
-            "ProfileObserver requires thread-major streams (thread {thread} after {})",
-            self.last_thread
-        );
-        self.last_thread = thread;
-        self.observe(&inst);
     }
 }
 
@@ -486,20 +537,22 @@ mod tests {
     }
 
     #[test]
-    fn observer_capacity_hint_never_changes_results() {
-        let trace = streaming_trace(500, 2);
-        let feed = |mut obs: ProfileObserver| {
-            ThreadedTraceSink::begin(&mut obs, trace.num_threads());
-            for (t, lane) in trace.iter().enumerate() {
-                for inst in lane.iter() {
-                    ThreadedTraceSink::record(&mut obs, t, *inst);
-                }
-            }
-            obs.finish()
-        };
-        let grown = feed(ProfileObserver::new());
-        let presized = feed(ProfileObserver::with_capacity(trace.total_insts()));
-        assert_eq!(grown.values(), presized.values());
+    fn threads_are_profiled_as_one_thread_major_stream() {
+        // Thread 1 loads the element thread 0 stored. Nothing resets at the
+        // thread boundary, so that load is a warm reuse: one cold touch in
+        // the two element accesses.
+        let mut t = MultiTrace::new(2);
+        {
+            let mut e = Emitter::new(t.thread_sink(0));
+            let v = e.imm(0);
+            e.store(1, 0x100, 8, v);
+        }
+        Emitter::new(t.thread_sink(1)).load(2, 0x100, 8);
+        let p = ApplicationProfile::of(&t);
+        assert_eq!(p.value("reuse.elem.all.cold"), 0.5);
+        assert_eq!(p.value("reuse.elem.all.cdf.b0"), 0.5);
+        assert_eq!(p.value("reuse.elem.read.cold"), 1.0);
+        assert_eq!(p.value("reuse.elem.write.cold"), 1.0);
     }
 
     #[test]

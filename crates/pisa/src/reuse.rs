@@ -8,12 +8,10 @@
 //! Bennett–Kruskal/Olken algorithm: a Fenwick tree over access timestamps
 //! marks which timestamps are the *most recent* access of their element;
 //! the stack distance of an access is the count of marked timestamps after
-//! the element's previous access.
+//! the element's previous access ([`LruStack`]).
 //!
 //! Distances are summarized in power-of-two buckets
 //! ([`ReuseHistogram`]); cold (first-touch) accesses are tracked separately.
-
-use napel_ir::fxhash::FxHashMap;
 
 /// Number of power-of-two distance buckets (bucket `b` holds distances in
 /// `(2^(b−1), 2^b]`, bucket 0 holds distance ≤ 1).
@@ -121,6 +119,16 @@ impl ReuseHistogram {
         }
         NUM_BUCKETS
     }
+
+    /// Fraction of accesses that would miss an ideal fully-associative LRU
+    /// cache of `2^bucket` entries: warm accesses beyond the bucket plus
+    /// every cold access (0 for an empty histogram).
+    pub fn miss_fraction(&self, bucket: usize) -> f64 {
+        if self.total == 0 {
+            return 0.0;
+        }
+        1.0 - self.cdf(bucket)
+    }
 }
 
 impl Default for ReuseHistogram {
@@ -139,241 +147,231 @@ fn bucket_of(d: u64) -> usize {
     }
 }
 
-/// Exact LRU stack-distance tracker over an arbitrary key space.
+/// Exact LRU stack distances over dense ids, in memory proportional to
+/// the number of distinct ids rather than the length of the stream.
 ///
-/// # Example
+/// Ids are small integers handed out in first-touch order (the profiler
+/// interns element addresses, lines and `pc`s); any `u32` works, but the
+/// tracker keeps one slot per id up to the largest seen.
+///
+/// It is the Bennett–Kruskal scheme of [`crate::reference::StackDistance`]
+/// with three changes:
+///
+/// - **The clock is sized to the live set.** Each id's latest access holds
+///   a mark at its timestamp. When the clock reaches the capacity (about
+///   twice the number of marks), the marks are renumbered `1..=live` in
+///   their existing order. That changes no count of marks between two
+///   timestamps, hence no distance, and each renumbering is paid for by the
+///   at least capacity/2 accesses before the next.
+/// - **One query per access.** With `live` marks in total, the distance of
+///   a re-access is `live − prefix(prev)`, the marks after `prev`.
+/// - **Marks are a bitset.** A Fenwick tree counts the marks of each 64-bit
+///   word, and a masked `popcount` finishes a prefix inside its word, so
+///   the tree is 64× shorter than the clock. An immediate re-access of the
+///   most recent id (distance 0) touches neither.
 ///
 /// ```
-/// use napel_pisa::reuse::StackDistance;
+/// use napel_pisa::reuse::LruStack;
 ///
-/// let mut s = StackDistance::new();
-/// assert_eq!(s.access(10), None);      // cold
-/// assert_eq!(s.access(20), None);      // cold
-/// assert_eq!(s.access(10), Some(1));   // one distinct element in between
-/// assert_eq!(s.access(10), Some(0));   // immediate reuse
+/// let mut s = LruStack::new();
+/// assert_eq!(s.access(0), None);      // cold
+/// assert_eq!(s.access(1), None);      // cold
+/// assert_eq!(s.access(0), Some(1));   // one distinct id in between
+/// assert_eq!(s.access(0), Some(0));   // immediate reuse
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct StackDistance {
-    /// Fenwick tree over timestamps; `tree[t] = 1` iff timestamp `t` is the
-    /// most recent access of its element.
+pub struct LruStack {
+    /// Timestamp of each id's latest access; 0 = never accessed.
+    last: Vec<u32>,
+    /// The id that took each timestamp (timestamp 0 is never used).
+    owner: Vec<u32>,
+    /// Bit `t` is set iff timestamp `t` is its id's latest access.
+    marks: Vec<u64>,
+    /// 1-based Fenwick tree over the per-word mark counts of `marks`.
     tree: Vec<u32>,
-    /// Last access timestamp (1-based) of each element.
-    last: FxHashMap<u64, usize>,
-    /// Next timestamp to assign (1-based).
-    clock: usize,
+    /// Latest timestamp handed out.
+    clock: u32,
+    /// Number of marks: distinct ids seen.
+    live: u32,
 }
 
-impl StackDistance {
-    /// Creates a tracker that grows as accesses arrive.
+impl LruStack {
+    /// Creates an empty tracker.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates a tracker pre-sized for `n` accesses (avoids regrowth).
-    pub fn with_capacity(n: usize) -> Self {
-        StackDistance {
-            tree: vec![0; n + 1],
-            last: FxHashMap::default(),
-            clock: 0,
-        }
-    }
-
-    /// Number of distinct elements seen.
+    /// Number of distinct ids seen.
     pub fn distinct(&self) -> usize {
-        self.last.len()
+        self.live as usize
     }
 
-    /// Records an access to `key`, returning its stack distance (`None` for
+    /// Records an access to `id`, returning its stack distance (`None` for
     /// first touch). Distance 0 means immediate re-access.
-    pub fn access(&mut self, key: u64) -> Option<u64> {
-        self.clock += 1;
-        let t = self.clock;
-        if t >= self.tree.len() {
-            self.grow(t);
-        }
-        let dist = match self.last.insert(key, t) {
-            None => None,
-            Some(prev) => {
-                // Distinct elements touched strictly after prev, before t.
-                let count = self.prefix(t - 1) - self.prefix(prev);
-                self.update(prev, -1);
-                Some(count as u64)
-            }
-        };
-        self.update(t, 1);
-        dist
-    }
-
-    fn grow(&mut self, need: usize) {
-        // At least double (a large `with_capacity` keeps paying off after
-        // the first regrowth instead of snapping back to `need`-sized).
-        let new_len = (need + 1)
-            .next_power_of_two()
-            .max(self.tree.len().saturating_mul(2))
-            .max(1024);
-        // Rebuild the Fenwick from the surviving marks in `last` with the
-        // linear construction: scatter the point values, then push each
-        // node's partial sum to its parent once — O(m + n), not one
-        // O(log n) `update` per mark.
-        self.tree = vec![0; new_len];
-        for &t in self.last.values() {
-            self.tree[t] += 1;
-        }
-        for i in 1..new_len {
-            let parent = i + (i & i.wrapping_neg());
-            if parent < new_len {
-                self.tree[parent] += self.tree[i];
-            }
-        }
-    }
-
     #[inline]
-    fn update(&mut self, mut i: usize, delta: i32) {
+    pub fn access(&mut self, id: u32) -> Option<u64> {
+        let i = id as usize;
+        if i >= self.last.len() {
+            self.last.resize(i + 1, 0);
+        }
+        let prev = self.last[i];
+        if prev == 0 {
+            self.push(id);
+            self.live += 1;
+            return None;
+        }
+        if prev == self.clock {
+            return Some(0);
+        }
+        let distance = self.live - self.prefix(prev as usize);
+        self.flip(prev as usize, false);
+        self.push(id);
+        Some(u64::from(distance))
+    }
+
+    /// Gives `id` the next timestamp, renumbering first if the clock is full.
+    #[inline]
+    fn push(&mut self, id: u32) {
+        if self.clock as usize + 1 >= self.owner.len() {
+            self.renumber();
+        }
+        self.clock += 1;
+        let t = self.clock as usize;
+        self.last[id as usize] = self.clock;
+        self.owner[t] = id;
+        self.flip(t, true);
+    }
+
+    /// Sets (`on`) or clears the mark at timestamp `t`.
+    #[inline]
+    fn flip(&mut self, t: usize, on: bool) {
+        let w = t >> 6;
+        self.marks[w] ^= 1 << (t & 63);
+        let mut i = w + 1;
         while i < self.tree.len() {
-            self.tree[i] = (self.tree[i] as i64 + delta as i64) as u32;
+            if on {
+                self.tree[i] += 1;
+            } else {
+                self.tree[i] -= 1;
+            }
             i += i & i.wrapping_neg();
         }
     }
 
+    /// Marks at timestamps `≤ t`.
     #[inline]
-    fn prefix(&self, mut i: usize) -> u32 {
-        let mut s = 0;
+    fn prefix(&self, t: usize) -> u32 {
+        let w = t >> 6;
+        let mut sum = (self.marks[w] & (u64::MAX >> (63 - (t & 63)))).count_ones();
+        let mut i = w;
         while i > 0 {
-            s += self.tree[i];
-            i -= i & i.wrapping_neg();
+            sum += self.tree[i];
+            i &= i - 1;
         }
-        s
-    }
-}
-
-/// Convenience: a stack-distance tracker feeding a histogram.
-#[derive(Debug, Clone, Default)]
-pub struct ReuseAnalyzer {
-    stack: StackDistance,
-    histogram: ReuseHistogram,
-}
-
-impl ReuseAnalyzer {
-    /// Creates an analyzer that grows as needed.
-    pub fn new() -> Self {
-        Self::default()
+        sum
     }
 
-    /// Creates an analyzer pre-sized for `n` accesses.
-    pub fn with_capacity(n: usize) -> Self {
-        ReuseAnalyzer {
-            stack: StackDistance::with_capacity(n),
-            histogram: ReuseHistogram::new(),
+    /// Moves the marks onto timestamps `1..=m` in their existing order and
+    /// sizes the clock to at least twice that.
+    #[cold]
+    fn renumber(&mut self) {
+        // Each mark moves to a timestamp no later than its own, so one
+        // forward pass compacts `owner` in place.
+        let mut m = 0;
+        for w in 0..self.marks.len() {
+            let mut bits = self.marks[w];
+            while bits != 0 {
+                let old = w << 6 | bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                m += 1;
+                let id = self.owner[old];
+                self.owner[m] = id;
+                self.last[id as usize] = m as u32;
+            }
         }
-    }
-
-    /// Records an access to `key`.
-    #[inline]
-    pub fn access(&mut self, key: u64) {
-        let d = self.stack.access(key);
-        self.histogram.record(d);
-    }
-
-    /// The accumulated histogram.
-    pub fn histogram(&self) -> &ReuseHistogram {
-        &self.histogram
-    }
-
-    /// Number of distinct keys observed (the footprint in elements).
-    pub fn distinct(&self) -> usize {
-        self.stack.distinct()
+        let cap = (2 * (m + 1)).next_power_of_two().max(64);
+        if cap > self.owner.len() {
+            self.owner.resize(cap, 0);
+        }
+        let words = self.owner.len() / 64;
+        self.marks.clear();
+        self.marks.resize(words, 0);
+        for t in 1..=m {
+            self.marks[t >> 6] |= 1 << (t & 63);
+        }
+        // Linear Fenwick construction: word counts, then each node's sum
+        // pushed once to its parent.
+        self.tree.clear();
+        self.tree.push(0);
+        self.tree.extend(self.marks.iter().map(|w| w.count_ones()));
+        for i in 1..=words {
+            let parent = i + (i & i.wrapping_neg());
+            if parent <= words {
+                self.tree[parent] += self.tree[i];
+            }
+        }
+        self.clock = m as u32;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::StackDistance;
 
-    /// O(n²) reference implementation: distinct elements since last access.
-    fn naive_distances(keys: &[u64]) -> Vec<Option<u64>> {
-        let mut out = Vec::with_capacity(keys.len());
-        for (i, &k) in keys.iter().enumerate() {
-            let prev = keys[..i].iter().rposition(|&p| p == k);
-            out.push(prev.map(|p| {
-                let mut set = std::collections::HashSet::new();
-                for &mid in &keys[p + 1..i] {
-                    set.insert(mid);
-                }
-                set.len() as u64
-            }));
-        }
-        out
-    }
-
-    #[test]
-    fn matches_naive_on_random_stream() {
-        // Deterministic pseudo-random keys.
-        let mut x = 12345u64;
-        let keys: Vec<u64> = (0..500)
-            .map(|_| {
+    /// Pseudo-random ids in `0..universe(i)` for access `i`.
+    fn ids(n: usize, universe: impl Fn(usize) -> u64) -> Vec<u32> {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        (0..n)
+            .map(|i| {
                 x = x
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
-                (x >> 33) % 40
+                ((x >> 33) % universe(i)) as u32
             })
-            .collect();
-        let expected = naive_distances(&keys);
-        let mut s = StackDistance::new();
-        for (i, &k) in keys.iter().enumerate() {
-            assert_eq!(s.access(k), expected[i], "mismatch at access {i}");
+            .collect()
+    }
+
+    #[test]
+    fn matches_the_reference_stack() {
+        let mut scans = Vec::new();
+        for rep in 0..50u32 {
+            for k in 0..(10 + rep) {
+                scans.extend([k, k, k]);
+            }
+        }
+        for keys in [
+            // 40 ids: the clock wraps every few dozen accesses.
+            ids(5_000, |_| 40),
+            // An ever-expanding universe mixes cold misses with reuse, so
+            // the capacity doubles repeatedly between renumberings.
+            ids(50_000, |i| i as u64 / 2 + 16),
+            // Immediate re-accesses between growing scans.
+            scans,
+            // Sparse ids.
+            vec![7, 1_000_000, 7, 3, 1_000_000, 7],
+        ] {
+            let mut fast = LruStack::new();
+            let mut oracle = StackDistance::new();
+            for (i, &k) in keys.iter().enumerate() {
+                assert_eq!(
+                    fast.access(k),
+                    oracle.access(u64::from(k)),
+                    "mismatch at access {i}"
+                );
+            }
+            assert_eq!(fast.distinct(), oracle.distinct());
         }
     }
 
     #[test]
-    fn sequential_scan_is_all_cold() {
-        let mut s = StackDistance::new();
-        for k in 0..100 {
-            assert_eq!(s.access(k), None);
+    fn renumbering_keeps_the_clock_near_the_live_set() {
+        let mut s = LruStack::new();
+        for i in 0..100_000u32 {
+            s.access(i % 10);
         }
-        assert_eq!(s.distinct(), 100);
-    }
-
-    #[test]
-    fn repeated_scan_distance_equals_working_set() {
-        let mut s = StackDistance::new();
-        for k in 0..10 {
-            s.access(k);
-        }
-        for k in 0..10 {
-            assert_eq!(s.access(k), Some(9), "cyclic scan reuse distance");
-        }
-    }
-
-    #[test]
-    fn growth_preserves_correctness() {
-        // Start tiny and force several regrowths.
-        let mut s = StackDistance::with_capacity(2);
-        let keys: Vec<u64> = (0..3000).map(|i| i % 7).collect();
-        let expected = naive_distances(&keys);
-        for (i, &k) in keys.iter().enumerate() {
-            assert_eq!(s.access(k), expected[i], "mismatch at access {i}");
-        }
-    }
-
-    #[test]
-    fn regrowth_on_long_stream_matches_preallocated() {
-        // A long pseudo-random stream with an ever-expanding key universe:
-        // the zero-capacity tracker regrows several times while thousands
-        // of live marks survive each rebuild, and must agree with a
-        // tracker that never regrows, on every single access.
-        const N: u64 = 50_000;
-        let mut grown = StackDistance::with_capacity(0);
-        let mut fixed = StackDistance::with_capacity(N as usize + 1);
-        let mut x = 0x9e3779b97f4a7c15u64;
-        for i in 0..N {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            // Mix cold misses (growing universe) with reuse of hot keys.
-            let k = (x >> 33) % (i / 2 + 16);
-            assert_eq!(grown.access(k), fixed.access(k), "mismatch at access {i}");
-        }
-        assert_eq!(grown.distinct(), fixed.distinct());
+        assert_eq!(s.distinct(), 10);
+        assert!(s.owner.len() <= 64, "clock grew to {}", s.owner.len());
     }
 
     #[test]
@@ -419,20 +417,5 @@ mod tests {
         assert_eq!(h.quantile_bucket(0.5), 0);
         assert_eq!(h.quantile_bucket(0.9), 10);
         assert_eq!(h.quantile_bucket(1.1), NUM_BUCKETS);
-    }
-
-    #[test]
-    fn analyzer_combines_stack_and_histogram() {
-        let mut a = ReuseAnalyzer::new();
-        for _ in 0..3 {
-            for k in 0..4 {
-                a.access(k);
-            }
-        }
-        assert_eq!(a.distinct(), 4);
-        assert_eq!(a.histogram().total(), 12);
-        assert_eq!(a.histogram().cold(), 4);
-        // Warm accesses all have distance 3 -> bucket 2.
-        assert!((a.histogram().pdf(2) - 8.0 / 12.0).abs() < 1e-12);
     }
 }

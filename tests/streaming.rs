@@ -5,7 +5,8 @@
 //! 1. **Profiling equivalence** — for every Table 2 workload, streaming
 //!    the kernel straight into a [`ProfileObserver`] yields an
 //!    [`ApplicationProfile`] whose feature vector is *bit-identical*
-//!    (`f64::to_bits`) to profiling the materialized trace.
+//!    (`f64::to_bits`) to profiling the materialized trace, and to the
+//!    `pisa::reference` analyzers' profile of it.
 //! 2. **Simulation equivalence** — simulating from compact-encoded
 //!    per-thread instruction streams ([`NmcSystem::run_streams`]) yields
 //!    a [`SimReport`] equal field for field to simulating the
@@ -45,6 +46,31 @@ fn streaming_profile_is_bit_identical_for_every_workload() {
         for (name, (a, b)) in napel::pisa::feature_names()
             .iter()
             .zip(of.values().iter().zip(streamed.values()))
+        {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{w}: feature `{name}` differs ({a} vs {b})"
+            );
+        }
+    }
+}
+
+#[test]
+fn fused_profile_equals_the_reference_analyzers_for_every_workload() {
+    // The one-pass observer (interned keys, live-set-sized stacks, flat
+    // ILP state, footprint from cold counts) against the analyzers as
+    // first written.
+    for w in Workload::ALL {
+        let trace = test_trace(w);
+        let mut observer = ProfileObserver::new();
+        let params: Vec<f64> = w.spec().params.iter().map(|p| p.test).collect();
+        w.generate_into(&params, Scale::tiny(), &mut observer);
+        let fused = observer.finish();
+        let oracle = napel::pisa::reference::profile(&trace);
+        for (name, (a, b)) in napel::pisa::feature_names()
+            .iter()
+            .zip(fused.values().iter().zip(oracle.values()))
         {
             assert_eq!(
                 a.to_bits(),
